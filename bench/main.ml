@@ -620,17 +620,7 @@ let perf () =
           | Error _ -> ()));
       Test.make ~name:"fig5:ground-state-or" (Staged.stage (fun () ->
           ignore
-            (Sidb.Ground_state.branch_and_bound
-               (Sidb.Charge_system.create Sidb.Model.default or_sites))));
-      Test.make ~name:"fig5:simanneal-or" (Staged.stage (fun () ->
-          ignore
-            (Sidb.Simanneal.run
-               ~params:
-                 {
-                   Sidb.Simanneal.default_params with
-                   instances = 4;
-                   sweeps = 100;
-                 }
+            (Sidb.Ground_state.pruned
                (Sidb.Charge_system.create Sidb.Model.default or_sites))));
       Test.make ~name:"flow:rewrite-cm82a" (Staged.stage (fun () ->
           ignore (Logic.Rewrite.rewrite_to_fixpoint (Logic.Benchmarks.cm82a_5 ()))));
@@ -809,7 +799,7 @@ let sim () =
     | Some s, Some spec -> (s, spec)
     | _ -> failwith "no OR structure in the Bestagon library"
   in
-  (* Ground state: the three exact engines over all four OR input rows. *)
+  (* Ground state: the two exact engines over all four OR input rows. *)
   let assignments = [ [| false; false |]; [| false; true |];
                       [| true; false |]; [| true; true |] ] in
   let systems =
@@ -826,10 +816,7 @@ let sim () =
   let gs_engines =
     (if nsites <= 20 then [ ("exhaustive", Sidb.Ground_state.exhaustive ?max_states:None) ]
      else [])
-    @ [
-        ("branch_and_bound", fun sys -> Sidb.Ground_state.branch_and_bound sys);
-        ("pruned", fun sys -> Sidb.Ground_state.pruned sys);
-      ]
+    @ [ ("pruned", fun sys -> Sidb.Ground_state.pruned sys) ]
   in
   let gs_energy = ref nan in
   List.iter

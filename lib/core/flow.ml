@@ -336,14 +336,17 @@ let run ?(options = default_options) ?(paranoid = false) ?corrupt_mapped
       | Error msg -> fail Certification partial_synth msg)
     end;
     let synthesis_s = now () -. t0 in
-    (* Step 4: physical design, under (a share of) the budget. *)
+    (* Step 4: physical design, under (a share of) the budget.  A spent
+       deadline under the fallback engine is not a failure: the exact
+       engine's first check reports it out of budget and the run
+       degrades to the scalable engine, recording why. *)
     let t1 = now () in
-    (match Budget.check budget with
-    | Some r ->
+    (match (Budget.check budget, options.engine) with
+    | Some Budget.Deadline, Exact_with_fallback _ | None, _ -> ()
+    | Some r, _ ->
         fail ~budget_reason:r Physical_design partial_synth
           (Printf.sprintf "budget exhausted before physical design (%s)"
-             (Budget.reason_to_string r))
-    | None -> ());
+             (Budget.reason_to_string r)));
     let netlist = Physdesign.Netlist.of_mapped mapped in
     let run_scalable () =
       Physdesign.Scalable.place_and_route ?blocked netlist
@@ -747,11 +750,40 @@ type layout_sim = {
 }
 
 (* Beyond this the exact engines are hopeless on layout-shaped systems
-   (exhaustive hard-refuses at 24 sites anyway, and the branching
-   engines' worst case is exponential).  Auto engine selection switches
-   to quicksim here; an exact engine requested explicitly gets a
-   structured refusal instead of an unbounded search. *)
+   (exhaustive hard-refuses at 24 sites anyway, and the pruned engine's
+   worst case is exponential).  Auto engine selection switches to
+   quicksim here; an exact engine requested explicitly gets a structured
+   refusal instead of an unbounded search. *)
 let exact_site_limit = 40
+
+(* Engine choice for an [n]-site whole-layout system, shared by
+   {!simulate_layout} and {!domain_of_layout}: the caller's engine, else
+   the configured default, else exact pruned search up to
+   [exact_site_limit] and quicksim beyond it. *)
+let select_engine ?engine n =
+  let engine =
+    match engine with
+    | Some e -> e
+    | None -> (
+        match Sidb.Bdl.configured_engine () with
+        | Some e -> e
+        | None ->
+            if n <= exact_site_limit then Sidb.Bdl.Pruned
+            else Sidb.Bdl.Quicksim Sidb.Ground_state.default_quicksim)
+  in
+  if Sidb.Bdl.engine_exact engine && n > exact_site_limit then
+    Error
+      (Printf.sprintf
+         "engine %s refused: %d sites exceed the %d-site exact-engine limit \
+          (use --engine quicksim)"
+         (Sidb.Bdl.engine_name engine) n exact_site_limit)
+  else Ok engine
+
+(* An engine's own refusal of a system ([Invalid_argument]). *)
+let engine_refused engine n msg =
+  Error
+    (Printf.sprintf "engine %s refused the %d-site system: %s"
+       (Sidb.Bdl.engine_name engine) n msg)
 
 let simulate_layout ?engine ?(inputs = []) ?clock_bias ?confidence ?t_max
     result =
@@ -761,83 +793,67 @@ let simulate_layout ?engine ?(inputs = []) ?clock_bias ?confidence ?t_max
   | Error e -> Error e
   | Ok asm -> (
       let n = asm.Bestagon.Assembly.site_count in
-      let engine =
-        match engine with
-        | Some e -> e
-        | None -> (
-            match Sidb.Bdl.configured_engine () with
-            | Some e -> e
-            | None ->
-                if n <= exact_site_limit then Sidb.Bdl.Pruned
-                else Sidb.Bdl.Quicksim Sidb.Ground_state.default_quicksim)
-      in
-      let exact = Sidb.Bdl.engine_exact engine in
-      if exact && n > exact_site_limit then
-        Error
-          (Printf.sprintf
-             "engine %s refused: %d sites exceed the %d-site exact-engine \
-              limit (use --engine quicksim)"
-             (Sidb.Bdl.engine_name engine) n exact_site_limit)
-      else
-        let sys = asm.Bestagon.Assembly.system in
-        let t0 = Unix.gettimeofday () in
-        match
-          match engine with
-          | Sidb.Bdl.Quicksim config ->
-              (* One sample pool serves both the ground state and the
-                 finite-temperature spectrum. *)
-              let spectrum = Sidb.Ground_state.quicksim_spectrum ~config sys in
-              let e0 =
-                match spectrum with (_, e) :: _ -> e | [] -> infinity
+      match select_engine ?engine n with
+      | Error e -> Error e
+      | Ok engine -> (
+          let sys = asm.Bestagon.Assembly.system in
+          let t0 = Unix.gettimeofday () in
+          match
+            match engine with
+            | Sidb.Bdl.Quicksim config ->
+                (* One sample pool serves both the ground state and the
+                   finite-temperature spectrum. *)
+                let spectrum =
+                  Sidb.Ground_state.quicksim_spectrum ~config sys
+                in
+                let e0 =
+                  match spectrum with (_, e) :: _ -> e | [] -> infinity
+                in
+                let states =
+                  List.filter_map
+                    (fun (occ, e) ->
+                      if
+                        Float.abs (e -. e0) <= 1e-9
+                        && Sidb.Charge_system.physically_valid sys occ
+                      then Some occ
+                      else None)
+                    spectrum
+                in
+                ({ Sidb.Ground_state.energy = e0; states }, spectrum)
+            | e ->
+                let gs = Sidb.Bdl.solve e sys in
+                let spectrum =
+                  Sidb.Ground_state.spectrum ~max_states:4096
+                    ~window:Sidb.Temperature.default_window sys
+                in
+                (gs, spectrum)
+          with
+          | exception Invalid_argument msg -> engine_refused engine n msg
+          | gs, spectrum ->
+              let elapsed = Unix.gettimeofday () -. t0 in
+              let valid =
+                gs.Sidb.Ground_state.states <> []
+                && List.for_all
+                     (Sidb.Charge_system.physically_valid sys)
+                     gs.Sidb.Ground_state.states
               in
-              let states =
-                List.filter_map
-                  (fun (occ, e) ->
-                    if
-                      Float.abs (e -. e0) <= 1e-9
-                      && Sidb.Charge_system.physically_valid sys occ
-                    then Some occ
-                    else None)
-                  spectrum
-              in
-              ({ Sidb.Ground_state.energy = e0; states }, spectrum)
-          | e ->
-              let gs = Sidb.Bdl.solve e sys in
-              let spectrum =
-                Sidb.Ground_state.spectrum ~max_states:4096
-                  ~window:Sidb.Temperature.default_window sys
-              in
-              (gs, spectrum)
-        with
-        | exception Invalid_argument msg ->
-            Error
-              (Printf.sprintf "engine %s refused the %d-site system: %s"
-                 (Sidb.Bdl.engine_name engine) n msg)
-        | gs, spectrum ->
-            let elapsed = Unix.gettimeofday () -. t0 in
-            let valid =
-              gs.Sidb.Ground_state.states <> []
-              && List.for_all
-                   (Sidb.Charge_system.physically_valid sys)
-                   gs.Sidb.Ground_state.states
-            in
-            Ok
-              {
-                sim_engine = Sidb.Bdl.engine_name engine;
-                sim_exact = exact;
-                sim_sites = n;
-                sim_tiles = asm.Bestagon.Assembly.tile_count;
-                sim_energy = gs.Sidb.Ground_state.energy;
-                sim_degeneracy = List.length gs.Sidb.Ground_state.states;
-                sim_valid = valid;
-                sim_spectrum_states = List.length spectrum;
-                sim_critical_temperature_k =
-                  Sidb.Temperature.critical_temperature_of_spectrum ?confidence
-                    ?t_max spectrum;
-                sim_duplicates_dropped =
-                  asm.Bestagon.Assembly.duplicates_dropped;
-                sim_seconds = elapsed;
-              })
+              Ok
+                {
+                  sim_engine = Sidb.Bdl.engine_name engine;
+                  sim_exact = Sidb.Bdl.engine_exact engine;
+                  sim_sites = n;
+                  sim_tiles = asm.Bestagon.Assembly.tile_count;
+                  sim_energy = gs.Sidb.Ground_state.energy;
+                  sim_degeneracy = List.length gs.Sidb.Ground_state.states;
+                  sim_valid = valid;
+                  sim_spectrum_states = List.length spectrum;
+                  sim_critical_temperature_k =
+                    Sidb.Temperature.critical_temperature_of_spectrum
+                      ?confidence ?t_max spectrum;
+                  sim_duplicates_dropped =
+                    asm.Bestagon.Assembly.duplicates_dropped;
+                  sim_seconds = elapsed;
+                }))
 
 type layout_domain = {
   dom_engine : string;
@@ -951,47 +967,28 @@ let domain_of_layout ?engine ?jobs ?config
                         (List.length d.Sidb.Bdl.far))
                   0 inputs
             in
-            let engine =
-              match engine with
-              | Some e -> e
-              | None -> (
-                  match Sidb.Bdl.configured_engine () with
-                  | Some e -> e
-                  | None ->
-                      if n <= exact_site_limit then Sidb.Bdl.Pruned
-                      else Sidb.Bdl.Quicksim Sidb.Ground_state.default_quicksim)
-            in
-            let exact = Sidb.Bdl.engine_exact engine in
-            if exact && n > exact_site_limit then
-              Error
-                (Printf.sprintf
-                   "engine %s refused: %d sites exceed the %d-site \
-                    exact-engine limit (use --engine quicksim)"
-                   (Sidb.Bdl.engine_name engine) n exact_site_limit)
-            else begin
-              let spec a = Logic.Network.eval spec_net a in
-              let t0 = Unix.gettimeofday () in
-              match
-                Sidb.Operational_domain.sweep ?jobs ~engine ?config ~x_axis
-                  ~y_axis structure ~spec
-              with
-              | exception Invalid_argument msg ->
-                  Error
-                    (Printf.sprintf "engine %s refused the %d-site system: %s"
-                       (Sidb.Bdl.engine_name engine) n msg)
-              | domain ->
-                  Ok
-                    {
-                      dom_engine = Sidb.Bdl.engine_name engine;
-                      dom_exact = exact;
-                      dom_sites = n;
-                      dom_tiles = ls.Bestagon.Assembly.struct_tile_count;
-                      dom_inputs = npis;
-                      dom_outputs = npos;
-                      dom_domain = domain;
-                      dom_seconds = Unix.gettimeofday () -. t0;
-                    }
-            end)
+            match select_engine ?engine n with
+            | Error e -> Error e
+            | Ok engine -> (
+                let spec a = Logic.Network.eval spec_net a in
+                let t0 = Unix.gettimeofday () in
+                match
+                  Sidb.Operational_domain.sweep ?jobs ~engine ?config ~x_axis
+                    ~y_axis structure ~spec
+                with
+                | exception Invalid_argument msg -> engine_refused engine n msg
+                | domain ->
+                    Ok
+                      {
+                        dom_engine = Sidb.Bdl.engine_name engine;
+                        dom_exact = Sidb.Bdl.engine_exact engine;
+                        dom_sites = n;
+                        dom_tiles = ls.Bestagon.Assembly.struct_tile_count;
+                        dom_inputs = npis;
+                        dom_outputs = npos;
+                        dom_domain = domain;
+                        dom_seconds = Unix.gettimeofday () -. t0;
+                      }))
 
 let export_sqd result ?(inputs = []) ~path () =
   match Bestagon.Library.apply ~inputs result.supertiled with

@@ -213,8 +213,10 @@ val run :
   Logic.Network.t ->
   (result, failure) Stdlib.result
 (** [Error] on physical-design failure (or a budget tripping before
-    it); a failed equivalence check or DRC violations are reported in
-    the result, not as errors.  Never raises on budget conditions.
+    it — except a spent deadline under [Exact_with_fallback], which
+    degrades to the scalable engine like any other exact-engine
+    timeout); a failed equivalence check or DRC violations are reported
+    in the result, not as errors.  Never raises on budget conditions.
 
     With [~paranoid:true] (default [false]) every stage boundary is
     cross-checked and any failed check is an [Error] at

@@ -1,32 +1,59 @@
 module Coord = Hexlib.Coord
 module D = Hexlib.Direction
-module Grid = Hexlib.Hex_grid
 
 type clock_assignment =
   | Scheme of Clocking.scheme
   | Expanded of Clocking.scheme * int
 
-type t = { grid : Tile.t Grid.t; clocking : clock_assignment }
+(* [cells] holds the [width] x [height] field row-major, top row first. *)
+type t = {
+  width : int;
+  height : int;
+  cells : Tile.t array;
+  clocking : clock_assignment;
+}
 
 let create ~width ~height ~clocking =
-  { grid = Grid.create ~width ~height ~default:Tile.Empty; clocking }
+  if width <= 0 || height <= 0 then
+    invalid_arg
+      (Printf.sprintf "Gate_layout.create: non-positive dimensions %dx%d"
+         width height);
+  { width; height; cells = Array.make (width * height) Tile.Empty; clocking }
 
-let width t = Grid.width t.grid
-let height t = Grid.height t.grid
+let width t = t.width
+let height t = t.height
 let clocking t = t.clocking
-let get t c = Grid.get t.grid c
-let set t c v = Grid.set t.grid c v
-let in_bounds t c = Grid.in_bounds t.grid c
+
+let in_bounds t (c : Coord.offset) =
+  c.col >= 0 && c.col < t.width && c.row >= 0 && c.row < t.height
+
+let index t what (c : Coord.offset) =
+  if in_bounds t c then (c.row * t.width) + c.col
+  else
+    invalid_arg
+      (Format.asprintf "Gate_layout.%s: %a out of %dx%d bounds" what
+         Coord.pp_offset c t.width t.height)
+
+let get t c = t.cells.(index t "get" c)
+let set t c v = t.cells.(index t "set" c) <- v
 
 let zone t c =
   match t.clocking with
   | Scheme s -> Clocking.zone s c
   | Expanded (s, rows) -> Clocking.zone_expanded s ~rows_per_zone:rows c
 
-let with_clocking t clocking = { grid = Grid.copy t.grid; clocking }
+let with_clocking t clocking = { t with cells = Array.copy t.cells; clocking }
 
-let iter t f = Grid.iter t.grid f
-let fold t ~init ~f = Grid.fold t.grid ~init ~f
+let iter t f =
+  Array.iteri
+    (fun i tile ->
+      f ({ col = i mod t.width; row = i / t.width } : Coord.offset) tile)
+    t.cells
+
+let fold t ~init ~f =
+  let acc = ref init in
+  iter t (fun c tile -> acc := f !acc c tile);
+  !acc
 
 let pis t =
   List.rev
@@ -47,13 +74,11 @@ let pos t =
              acc))
 
 let signal_source t c d =
-  match Grid.neighbor t.grid c d with
-  | None -> None
-  | Some n ->
-      let emitting = D.opposite d in
-      if List.exists (D.equal emitting) (Tile.outputs (get t n)) then
-        Some (n, emitting)
-      else None
+  let n = D.neighbor_offset c d in
+  let emitting = D.opposite d in
+  if in_bounds t n && List.exists (D.equal emitting) (Tile.outputs (get t n))
+  then Some (n, emitting)
+  else None
 
 type stats = {
   bounding_width : int;
@@ -100,22 +125,19 @@ let stats t =
     po_tiles = count Tile.is_po;
   }
 
-let copy t = { grid = Grid.copy t.grid; clocking = t.clocking }
+let copy t = { t with cells = Array.copy t.cells }
 
 let crop t =
   match bounding_box t with
-  | None -> { grid = Grid.create ~width:1 ~height:1 ~default:Tile.Empty; clocking = t.clocking }
+  | None -> create ~width:1 ~height:1 ~clocking:t.clocking
   | Some (x0, y0, x1, y1) ->
       (* Shifting rows changes hexagonal row parity; shift by even row
          offsets only so that neighbor relations are preserved. *)
       let y0 = y0 - (y0 land 1) in
       let fresh =
-        Grid.create ~width:(x1 - x0 + 1) ~height:(y1 - y0 + 1)
-          ~default:Tile.Empty
+        create ~width:(x1 - x0 + 1) ~height:(y1 - y0 + 1) ~clocking:t.clocking
       in
-      let w = x1 - x0 + 1 and h = y1 - y0 + 1 in
-      Grid.iter t.grid (fun (c : Coord.offset) tile ->
+      iter t (fun (c : Coord.offset) tile ->
           let c' : Coord.offset = { col = c.col - x0; row = c.row - y0 } in
-          if c'.col >= 0 && c'.col < w && c'.row >= 0 && c'.row < h then
-            Grid.set fresh c' tile);
-      { grid = fresh; clocking = t.clocking }
+          if in_bounds fresh c' then set fresh c' tile);
+      fresh

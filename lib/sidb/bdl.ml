@@ -36,28 +36,18 @@ let read_pair sites occ p =
       else None
   | _ -> None
 
-type engine =
-  | Exhaustive
-  | Branch_and_bound
-  | Pruned
-  | Quicksim of Ground_state.quicksim_config
-  | Anneal of Simanneal.params
+type engine = Exhaustive | Pruned | Quicksim of Ground_state.quicksim_config
 
 let engine_name = function
   | Exhaustive -> "exhaustive"
-  | Branch_and_bound -> "branch-and-bound"
   | Pruned -> "pruned"
   | Quicksim _ -> "quicksim"
-  | Anneal _ -> "anneal"
 
-let engine_exact = function
-  | Exhaustive | Branch_and_bound | Pruned -> true
-  | Quicksim _ | Anneal _ -> false
+let engine_exact = function Exhaustive | Pruned -> true | Quicksim _ -> false
 
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "exhaustive" | "exgs" -> Ok Exhaustive
-  | "bb" | "branch-and-bound" | "branch_and_bound" -> Ok Branch_and_bound
   | "pruned" | "quickexact" -> Ok Pruned
   | "quicksim" -> Ok (Quicksim Ground_state.default_quicksim)
   | other ->
@@ -96,16 +86,13 @@ type row_result = {
 
 type report = { structure : structure; rows : row_result list; functional : bool }
 
-let solve engine sys =
+let solve ?max_states engine sys =
   match engine with
-  | Exhaustive -> Ground_state.exhaustive sys
-  | Branch_and_bound -> Ground_state.branch_and_bound sys
-  | Pruned -> Ground_state.pruned sys
+  | Exhaustive -> Ground_state.exhaustive ?max_states sys
+  | Pruned -> Ground_state.pruned ?max_states sys
   | Quicksim config -> Ground_state.quicksim ~config sys
-  | Anneal params -> Simanneal.run ~params sys
 
-let check ?(engine = Branch_and_bound) ?(model = Model.default) ?v_ext_at s
-    ~spec =
+let check ?(engine = Pruned) ?(model = Model.default) ?v_ext_at s ~spec =
   let arity = Array.length s.inputs in
   let rows = ref [] in
   for row = 0 to (1 lsl arity) - 1 do

@@ -37,24 +37,25 @@ val read_pair :
     otherwise. *)
 
 type engine =
-  | Exhaustive  (** ExGS; up to 24 SiDBs. *)
-  | Branch_and_bound  (** Admissible-bound search; default for {!check}. *)
+  | Exhaustive
+      (** {!Ground_state.exhaustive} (ExGS); up to 24 SiDBs.  The
+          reference the tests compare the other engines against. *)
   | Pruned
       (** {!Ground_state.pruned}: branch and bound plus population-stability
-          subtree pruning; same results, fastest on gate-sized systems. *)
+          subtree pruning; exhaustive's results, fastest on gate-sized
+          systems.  Default for {!check}. *)
   | Quicksim of Ground_state.quicksim_config
       (** {!Ground_state.quicksim}: sampled population-dynamics heuristic.
           Not exact — energies are upper bounds — but deterministic and
           the only engine that scales to whole multi-gate layouts. *)
-  | Anneal of Simanneal.params
 
 val engine_name : engine -> string
 val engine_exact : engine -> bool
 (** Whether the engine guarantees the exact ground state. *)
 
 val engine_of_string : string -> (engine, string) result
-(** Parses [exhaustive]/[pruned]/[quicksim] (plus aliases [exgs],
-    [quickexact], [bb]); [quicksim] gets {!Ground_state.default_quicksim}. *)
+(** Parses [exhaustive]/[pruned]/[quicksim] (plus aliases [exgs] and
+    [quickexact]); [quicksim] gets {!Ground_state.default_quicksim}. *)
 
 val set_default_engine : engine -> unit
 (** Process-wide default (e.g. from a [--engine] CLI flag); takes
@@ -72,8 +73,11 @@ val default_engine : unit -> engine
 (** {!configured_engine}, falling back to exact [Pruned]: heuristics
     must be opted into wherever exact engines are feasible. *)
 
-val solve : engine -> Charge_system.t -> Ground_state.result
-(** Run one ground-state computation with the given engine. *)
+val solve : ?max_states:int -> engine -> Charge_system.t -> Ground_state.result
+(** Run one ground-state computation with the given engine — the single
+    place an engine is mapped to its solver.  [max_states] caps the
+    degenerate state list of the exact engines (default 64); quicksim
+    keeps the cap in its config. *)
 
 type row_result = {
   assignment : bool array;
@@ -94,7 +98,9 @@ val check :
   report
 (** Exercise the structure on all input combinations against the
     specification (e.g. [fun i -> [| i.(0) <> i.(1) |]] for XOR);
-    functional iff every row is [ok].  [v_ext_at] adds a local external
+    functional iff every row is [ok].  [engine] defaults to [Pruned]
+    (not {!default_engine}: gate validation stays exact whatever the
+    process-wide preference).  [v_ext_at] adds a local external
     potential (eV) per site — e.g. from fixed charged defects
     ({!Defects}) or clocking electrodes. *)
 

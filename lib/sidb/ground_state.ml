@@ -45,92 +45,41 @@ let exhaustive ?(max_states = 64) sys =
     { energy = !best_energy; states = List.rev !best_states }
   end
 
-let branch_and_bound ?(max_states = 64) sys =
-  let n = Charge_system.size sys in
-  if n = 0 then { energy = 0.; states = [ [||] ] }
-  else begin
-    let mu = (Charge_system.model sys).Model.mu_minus in
-    (* Explore sites in decreasing total-interaction order: strongly
-       coupled sites first make the bound effective early. *)
-    let weight i =
-      let acc = ref 0. in
-      for j = 0 to n - 1 do
-        if j <> i then acc := !acc +. Charge_system.interaction sys i j
-      done;
-      !acc
-    in
-    let order =
-      List.sort
-        (fun a b -> compare (weight b) (weight a))
-        (List.init n (fun i -> i))
-      |> Array.of_list
-    in
-    let occ = Array.make n false in
-    let best_energy = ref 0. and best_states = ref [ Array.copy occ ] in
-    (* v.(i): potential at site i from currently assigned charges. *)
-    let v = Array.make n 0. in
-    let rec explore depth current =
-      if depth = n then begin
-        if current < !best_energy -. epsilon then begin
-          best_energy := current;
-          best_states := [ Array.copy occ ]
-        end
-        else if
-          Float.abs (current -. !best_energy) <= epsilon
-          && List.length !best_states < max_states
-        then best_states := Array.copy occ :: !best_states
-      end
-      else begin
-        (* Admissible lower bound on the remaining energy: every
-           still-unassigned site can contribute at least
-           min(0, mu + v_i) (interactions among future charges are
-           non-negative). *)
-        let bound = ref 0. in
-        for d = depth to n - 1 do
-          let i = order.(d) in
-          let c = mu +. v.(i) in
-          if c < 0. then bound := !bound +. c
+(* Summed interaction of every site with all others, and the sites in
+   decreasing order of it: exploring strongly coupled sites first makes
+   the admissible energy bound effective early. *)
+let coupling sys n =
+  let weight =
+    Array.init n (fun i ->
+        let acc = ref 0. in
+        for j = 0 to n - 1 do
+          if j <> i then acc := !acc +. Charge_system.interaction sys i j
         done;
-        if current +. !bound < !best_energy +. epsilon then begin
-          let i = order.(depth) in
-          let try_occupied () =
-            let delta = mu +. v.(i) in
-            occ.(i) <- true;
-            for j = 0 to n - 1 do
-              if j <> i then
-                v.(j) <- v.(j) +. Charge_system.interaction sys i j
-            done;
-            explore (depth + 1) (current +. delta);
-            for j = 0 to n - 1 do
-              if j <> i then
-                v.(j) <- v.(j) -. Charge_system.interaction sys i j
-            done;
-            occ.(i) <- false
-          in
-          let try_empty () = explore (depth + 1) current in
-          (* Branch on the more promising value first. *)
-          if mu +. v.(i) < 0. then begin
-            try_occupied ();
-            try_empty ()
-          end
-          else begin
-            try_empty ();
-            try_occupied ()
-          end
-        end
-      end
-    in
-    (* Initialize v with the external potential. *)
-    let zero_occ = Array.make n false in
-    for i = 0 to n - 1 do
-      v.(i) <- Charge_system.local_potential sys zero_occ i
-    done;
-    explore 0 0.;
-    { energy = !best_energy; states = List.rev !best_states }
-  end
+        !acc)
+  in
+  let order =
+    List.sort
+      (fun a b -> compare weight.(b) weight.(a))
+      (List.init n (fun i -> i))
+    |> Array.of_list
+  in
+  (weight, order)
 
-(* QuickExact-style pruned search: branch and bound extended with
-   population-stability subtree pruning.
+(* Admissible lower bound on the energy the unassigned sites
+   [order.(depth) ..] can still add: each contributes at least
+   min(0, mu + v_i), since interactions among future charges are
+   non-negative. *)
+let remaining_bound mu v order depth =
+  let bound = ref 0. in
+  for d = depth to Array.length order - 1 do
+    let c = mu +. v.(order.(d)) in
+    if c < 0. then bound := !bound +. c
+  done;
+  !bound
+
+(* QuickExact-style pruned search: depth-first branch and bound under
+   {!remaining_bound}, extended with population-stability subtree
+   pruning.
 
    Interactions are repulsive, so along any completion of a partial
    assignment the potential v_i at a site only grows.  Two sound prune
@@ -153,30 +102,13 @@ let pruned ?(max_states = 64) sys =
   else begin
     let mu = (Charge_system.model sys).Model.mu_minus in
     let slack = 1e-6 in
-    let weight i =
-      let acc = ref 0. in
-      for j = 0 to n - 1 do
-        if j <> i then acc := !acc +. Charge_system.interaction sys i j
-      done;
-      !acc
-    in
-    let order =
-      List.sort
-        (fun a b -> compare (weight b) (weight a))
-        (List.init n (fun i -> i))
-      |> Array.of_list
-    in
+    let weight, order = coupling sys n in
     let occ = Array.make n false in
     let best_energy = ref infinity and best_states = ref [] in
     (* v.(i): potential at site i from currently assigned charges;
        rest.(i): summed interaction of i with all unassigned sites. *)
-    let v = Array.make n 0. in
-    let rest = Array.make n 0. in
-    let zero_occ = Array.make n false in
-    for i = 0 to n - 1 do
-      v.(i) <- Charge_system.local_potential sys zero_occ i;
-      rest.(i) <- weight i
-    done;
+    let v = Charge_system.local_potentials sys occ in
+    let rest = Array.copy weight in
     let record current =
       if current < !best_energy -. epsilon then begin
         best_energy := current;
@@ -190,14 +122,8 @@ let pruned ?(max_states = 64) sys =
     let rec explore depth current =
       if depth = n then record current
       else begin
-        (* The same admissible energy bound as [branch_and_bound]. *)
-        let bound = ref 0. in
-        for d = depth to n - 1 do
-          let k = order.(d) in
-          let c = mu +. v.(k) in
-          if c < 0. then bound := !bound +. c
-        done;
-        if current +. !bound < !best_energy +. epsilon then begin
+        let bound = remaining_bound mu v order depth in
+        if current +. bound < !best_energy +. epsilon then begin
           let i = order.(depth) in
           let take_rest () =
             for j = 0 to n - 1 do
@@ -467,33 +393,19 @@ let quicksim_spectrum ?(config = default_quicksim) ?jobs sys =
     pool;
   List.stable_sort (fun (_, e1) (_, e2) -> compare e1 e2) (List.rev !dedup)
 
-(* Low-energy spectrum: like [branch_and_bound], but keeping every
-   configuration within [window] of the running optimum. *)
+(* Low-energy spectrum: branch and bound under {!remaining_bound}, but
+   keeping every configuration within [window] of the running optimum
+   (so no stability pruning: excited states need not be stable). *)
 let spectrum ?(max_states = 4096) ~window sys =
   let n = Charge_system.size sys in
   if n = 0 then [ ([||], 0.) ]
   else begin
     let mu = (Charge_system.model sys).Model.mu_minus in
-    let weight i =
-      let acc = ref 0. in
-      for j = 0 to n - 1 do
-        if j <> i then acc := !acc +. Charge_system.interaction sys i j
-      done;
-      !acc
-    in
-    let order =
-      List.sort (fun a b -> compare (weight b) (weight a))
-        (List.init n (fun i -> i))
-      |> Array.of_list
-    in
+    let _, order = coupling sys n in
     let occ = Array.make n false in
     let best = ref 0. in
     let collected = ref [ (Array.copy occ, 0.) ] in
-    let v = Array.make n 0. in
-    let zero_occ = Array.make n false in
-    for i = 0 to n - 1 do
-      v.(i) <- Charge_system.local_potential sys zero_occ i
-    done;
+    let v = Charge_system.local_potentials sys occ in
     let rec explore depth current =
       if current < !best then best := current;
       if depth = n then begin
@@ -501,13 +413,8 @@ let spectrum ?(max_states = 4096) ~window sys =
           collected := (Array.copy occ, current) :: !collected
       end
       else begin
-        let bound = ref 0. in
-        for d = depth to n - 1 do
-          let i = order.(d) in
-          let c = mu +. v.(i) in
-          if c < 0. then bound := !bound +. c
-        done;
-        if current +. !bound <= !best +. window +. epsilon then begin
+        let bound = remaining_bound mu v order depth in
+        if current +. bound <= !best +. window +. epsilon then begin
           let i = order.(depth) in
           let try_occupied () =
             let delta = mu +. v.(i) in

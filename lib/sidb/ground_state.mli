@@ -1,9 +1,11 @@
-(** Exact ground-state engines.
+(** Ground-state engines.
 
     {!exhaustive} is the ExGS-style full enumeration (feasible to ~24
-    SiDBs thanks to Gray-code incremental energy updates);
-    {!branch_and_bound} is a QuickExact-style pruned search usable to
-    ~40 SiDBs on typical gate structures. *)
+    SiDBs thanks to Gray-code incremental energy updates) and the
+    reference the tests compare against; {!pruned} is a QuickExact-style
+    pruned search usable to ~40 SiDBs on typical gate structures;
+    {!quicksim} is the heuristic engine for whole layouts.  {!Bdl.solve}
+    dispatches between the three. *)
 
 type result = {
   energy : float;
@@ -15,19 +17,18 @@ type result = {
 val exhaustive : ?max_states:int -> Charge_system.t -> result
 (** @raise Invalid_argument beyond 24 sites. *)
 
-val branch_and_bound : ?max_states:int -> Charge_system.t -> result
-(** Exact via depth-first search with an admissible lower bound; sites
-    are explored in decreasing connectivity order. *)
-
 val pruned : ?max_states:int -> Charge_system.t -> result
-(** {!branch_and_bound} extended with QuickExact-style population-stability
-    pruning: subtrees in which some assigned site can no longer reach
+(** Exact depth-first branch and bound: an admissible lower bound on the
+    remaining energy, sites explored in decreasing connectivity order,
+    plus QuickExact-style population-stability pruning: subtrees in
+    which some assigned site can no longer reach
     [mu_minus + v_i <= 0] (occupied) or [mu_minus + v_i >= 0] (empty) in
     {e any} completion are skipped.  Interactions are repulsive, so both
     bounds are sound; every state within [epsilon] of the optimum is
     population-stable to within [epsilon], hence the returned energy and
-    state set equal {!exhaustive}'s.  The default engine for
-    operational-domain sweeps and defect-yield Monte Carlo. *)
+    state set equal {!exhaustive}'s.  The default engine for gate
+    validation, gate design, operational-domain sweeps and defect-yield
+    Monte Carlo. *)
 
 val degeneracy : result -> int
 
@@ -75,6 +76,7 @@ val spectrum :
   Charge_system.t ->
   (bool array * float) list
 (** All configurations within [window] eV of the ground-state energy
-    (branch-and-bound enumeration, capped at [max_states], default 4096),
+    (bounded depth-first enumeration without stability pruning, capped
+    at [max_states], default 4096),
     sorted by increasing energy.  The low-energy spectrum drives the
     finite-temperature analyses in {!Temperature}. *)

@@ -94,15 +94,9 @@ let axis_value axis i =
        *. float_of_int i
        /. float_of_int (axis.steps - 1)
 
-let solve_of_engine engine =
-  (* The exact engines get the tight degenerate-state cap (a gate with
-     more than 8 degenerate ground states is broken anyway); anything
-     else goes through the generic dispatch. *)
-  match engine with
-  | Bdl.Pruned -> Ground_state.pruned ~max_states:8
-  | Bdl.Exhaustive -> Ground_state.exhaustive ~max_states:8
-  | Bdl.Branch_and_bound -> Ground_state.branch_and_bound ~max_states:8
-  | e -> Bdl.solve e
+(* The exact engines' degenerate-state cap per solve: a gate with more
+   than 8 degenerate ground states is broken anyway. *)
+let max_states = 8
 
 (* Truth-table rows are visited starting at [first_row] (the adaptive
    cross-point hint), then in natural order; a point is operational iff
@@ -261,7 +255,7 @@ let operational_at ?(interaction_cache = true) ?engine ?(first_row = 0) model
   let engine =
     match engine with Some e -> e | None -> Bdl.default_engine ()
   in
-  let solve = solve_of_engine engine in
+  let solve = Bdl.solve ~max_states engine in
   let nrows = 1 lsl Array.length structure.Bdl.inputs in
   let first_row =
     if first_row < 0 || first_row >= nrows then 0 else first_row
@@ -331,7 +325,7 @@ let make_ctx ?base ?jobs ?engine ~config ~x_axis ~y_axis structure ~spec () =
   let engine =
     match engine with Some e -> e | None -> Bdl.default_engine ()
   in
-  let solve = solve_of_engine engine in
+  let solve = Bdl.solve ~max_states engine in
   let geometry =
     if config.shared_geometry then Some (build_geometry structure ~spec)
     else None

@@ -8,10 +8,12 @@
 #   4. property fuzzing       (bounded, fixed seed: solver vs. oracle
 #                              with DRAT-checked UNSATs, XAG rewrite/map
 #                              behavior preservation, defect-yield
-#                              invariants, pruned-engine exactness)
-#   5. resilience smoke test  (mux21 under a 1 s deadline with the
-#                              fallback engine must finish cleanly --
-#                              the hard guarantee of the budget work)
+#                              invariants, pruned-engine exactness
+#                              against exhaustive enumeration)
+#   5. resilience smoke test  (mux21 under a 1 s and an already-spent
+#                              1 ms deadline with the fallback engine
+#                              must finish cleanly -- the hard
+#                              guarantee of the budget work)
 #   6. certification smoke    (paranoid flow on a benchmark whose exact
 #                              search refutes a candidate size: the
 #                              refutation must come with a DRAT proof
@@ -81,7 +83,8 @@ echo "tests passed in $((end - start))s"
 echo "== 4/14 property fuzzing =="
 # Fixed seed: reproducible in CI, >= 500 iterations across the eight
 # properties (CNF, at-most-one encodings, XAG, priority-vs-exhaustive
-# cuts, defect parameters, charge systems, defect-aware P&R, and
+# cuts, defect parameters, charge systems (pruned engine vs exhaustive
+# enumeration: same energy and state set), defect-aware P&R, and
 # server line-noise: Serve.Server.handle_line must answer every byte
 # sequence with structured JSON, never an exception).  The simplify and
 # portfolio properties get a dedicated run in stage 12, quicksim in
@@ -92,6 +95,9 @@ echo "== 5/14 budgeted-flow smoke test =="
 # Must return a verified layout without raising, degrading to the
 # scalable engine if the exact share of the deadline runs out.
 dune exec bin/fictionette.exe -- run mux21 -e fallback -d 1
+# A deadline already spent by synthesis still degrades (exit 0) instead
+# of failing before physical design.
+dune exec bin/fictionette.exe -- run mux21 -e fallback -d 0.001
 
 echo "== 6/14 certification smoke test =="
 # Benchmark "t" needs one candidate size refuted before its minimal

@@ -12,8 +12,7 @@
      trial list, and be exactly 1.0 with zero defects;
    - random charge systems (<= 16 sites): the pruned exact engine must
      report the same ground-state energy and the same degenerate state
-     set as exhaustive enumeration, and branch & bound must agree on the
-     energy.
+     set as exhaustive enumeration, and only population-stable states.
 
    Runs a fixed seed by default so CI is reproducible; any failure is
    shrunk before being reported, and the process exits nonzero. *)
@@ -485,7 +484,6 @@ let system_property sites =
   let cap = 1 lsl 16 in
   let ex = exhaustive ~max_states:cap sys in
   let pr = pruned ~max_states:cap sys in
-  let bb = branch_and_bound ~max_states:cap sys in
   let state_key r = List.sort compare (List.map Array.to_list r.states) in
   if abs_float (ex.energy -. pr.energy) > 1e-9 then
     Error
@@ -495,10 +493,6 @@ let system_property sites =
     Error
       (Printf.sprintf "pruned returns %d state(s), exhaustive %d, or sets differ"
          (List.length pr.states) (List.length ex.states))
-  else if abs_float (ex.energy -. bb.energy) > 1e-9 then
-    Error
-      (Printf.sprintf "branch&bound energy %.9f, exhaustive %.9f" bb.energy
-         ex.energy)
   else if
     not
       (List.for_all

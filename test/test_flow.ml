@@ -98,7 +98,7 @@ let test_simulate_layout_exact_refusal () =
           in
           Alcotest.(check bool) "mentions the refusal" true
             (contains e "refused"))
-    [ Sidb.Bdl.Exhaustive; Sidb.Bdl.Pruned; Sidb.Bdl.Branch_and_bound ]
+    [ Sidb.Bdl.Exhaustive; Sidb.Bdl.Pruned ]
 
 let test_domain_of_layout_quicksim () =
   (* Whole-layout operational domain on the heuristic engine: a tiny
@@ -320,34 +320,57 @@ let paranoid_checks =
   ]
 
 let test_paranoid_benchmarks () =
+  (* Serial exact P&R: with jobs >= 2 candidate sizes are solved in
+     waves, and a speculative solve of a larger size also counts as an
+     attempt, so "attempts - 1 = refutations" holds only at jobs = 1. *)
+  let run_at jobs name =
+    let options =
+      {
+        F.default_options with
+        engine =
+          F.Exact { Physdesign.Exact.default_config with jobs = Some jobs };
+      }
+    in
+    match F.run_benchmark ~options ~paranoid:true name with
+    | Error f ->
+        Alcotest.fail
+          (Printf.sprintf "%s at jobs=%d: %s" name jobs (F.error_message f))
+    | Ok r -> r
+  in
+  let area r =
+    (Layout.Gate_layout.stats r.F.gate_layout).Layout.Gate_layout.area_tiles
+  in
   let total_certified = ref 0 in
   List.iter
     (fun name ->
-      match F.run_benchmark ~paranoid:true name with
-      | Error f -> Alcotest.fail (name ^ ": " ^ F.error_message f)
-      | Ok r ->
-          Alcotest.(check bool) (name ^ " equivalent") true
-            (r.F.equivalence = Some E.Equivalent);
-          Alcotest.(check bool) (name ^ " has certificate") true
-            (r.F.certificate <> None);
-          (match r.F.certificate with
-          | Some c ->
-              Alcotest.(check bool) (name ^ " certificate replays") true
-                (E.replay c = Ok ())
-          | None -> ());
-          List.iter
-            (fun c ->
-              Alcotest.(check bool) (name ^ ": " ^ c) true
-                (List.mem c r.F.checks))
-            paranoid_checks;
-          (* Complete (unbudgeted) exact solves refute every candidate
-             size smaller than the winner, and paranoid mode must have
-             proof-checked each refutation. *)
-          Alcotest.(check int) (name ^ " all refutations certified")
-            (r.F.diagnostics.F.exact_attempts - 1)
-            r.F.diagnostics.F.certified_refutations;
-          total_certified :=
-            !total_certified + r.F.diagnostics.F.certified_refutations)
+      let r = run_at 1 name in
+      Alcotest.(check bool) (name ^ " equivalent") true
+        (r.F.equivalence = Some E.Equivalent);
+      Alcotest.(check bool) (name ^ " has certificate") true
+        (r.F.certificate <> None);
+      (match r.F.certificate with
+      | Some c ->
+          Alcotest.(check bool) (name ^ " certificate replays") true
+            (E.replay c = Ok ())
+      | None -> ());
+      List.iter
+        (fun c ->
+          Alcotest.(check bool) (name ^ ": " ^ c) true (List.mem c r.F.checks))
+        paranoid_checks;
+      (* Complete (unbudgeted) exact solves refute every candidate size
+         smaller than the winner, and paranoid mode must have
+         proof-checked each refutation. *)
+      let certified = r.F.diagnostics.F.certified_refutations in
+      Alcotest.(check int) (name ^ " all refutations certified")
+        (r.F.diagnostics.F.exact_attempts - 1)
+        certified;
+      (* Waves change how many candidates are attempted, never the
+         minimal area or which sizes are refuted. *)
+      let r2 = run_at 2 name in
+      Alcotest.(check int) (name ^ " same area at jobs=2") (area r) (area r2);
+      Alcotest.(check int) (name ^ " same refutations at jobs=2") certified
+        r2.F.diagnostics.F.certified_refutations;
+      total_certified := !total_certified + certified)
     [ "xor2"; "xnor2"; "par_gen"; "t" ];
   (* At least one benchmark ("t") needs a candidate size refuted before
      the winner, so the DRAT-checked refutation path really ran. *)

@@ -2,7 +2,6 @@
 
 module C = Hexlib.Coord
 module D = Hexlib.Direction
-module G = Hexlib.Hex_grid
 
 let axial q r : C.axial = { q; r }
 let offset col row : C.offset = { col; row }
@@ -188,41 +187,6 @@ let prop_of_neighbors =
       | Some d' -> D.equal d d'
       | None -> false)
 
-(* --- grids ------------------------------------------------------------------ *)
-
-let test_grid_basic () =
-  let g = G.create ~width:4 ~height:3 ~default:0 in
-  Alcotest.(check int) "size" 12 (G.size g);
-  G.set g (offset 2 1) 42;
-  Alcotest.(check int) "get" 42 (G.get g (offset 2 1));
-  Alcotest.(check (option int)) "find out of bounds" None (G.find_opt g (offset 4 0))
-
-let test_grid_bounds () =
-  let g = G.create ~width:2 ~height:2 ~default:"" in
-  Alcotest.check_raises "oob get"
-    (Invalid_argument "Hex_grid.get: (2, 0) out of 2x2 bounds") (fun () ->
-      ignore (G.get g (offset 2 0)))
-
-let test_grid_neighbors_clipped () =
-  let g = G.create ~width:3 ~height:3 ~default:0 in
-  let n = G.neighbors g (offset 0 0) in
-  Alcotest.(check bool) "corner has fewer than 6 neighbors" true
-    (List.length n < 6)
-
-let test_grid_fold_count () =
-  let g = G.create ~width:3 ~height:3 ~default:1 in
-  Alcotest.(check int) "fold sum" 9
-    (G.fold g ~init:0 ~f:(fun acc _ v -> acc + v));
-  Alcotest.(check int) "count" 9 (G.count g ~f:(fun v -> v = 1))
-
-let test_grid_map_copy () =
-  let g = G.create ~width:2 ~height:2 ~default:1 in
-  let doubled = G.map g ~f:(fun _ v -> 2 * v) in
-  Alcotest.(check int) "mapped" 2 (G.get doubled (offset 0 0));
-  let copy = G.copy g in
-  G.set copy (offset 0 0) 9;
-  Alcotest.(check int) "copy independent" 1 (G.get g (offset 0 0))
-
 let () =
   let qt = List.map (QCheck_alcotest.to_alcotest ~verbose:false) in
   Alcotest.run "hexlib"
@@ -265,12 +229,4 @@ let () =
           Alcotest.test_case "offset parity" `Quick test_neighbor_offset_parity;
         ]
         @ qt [ prop_neighbor_offset_consistent; prop_of_neighbors ] );
-      ( "grid",
-        [
-          Alcotest.test_case "basic" `Quick test_grid_basic;
-          Alcotest.test_case "bounds" `Quick test_grid_bounds;
-          Alcotest.test_case "clipped neighbors" `Quick test_grid_neighbors_clipped;
-          Alcotest.test_case "fold/count" `Quick test_grid_fold_count;
-          Alcotest.test_case "map/copy" `Quick test_grid_map_copy;
-        ] );
     ]

@@ -150,6 +150,33 @@ let test_signal_source () =
   Alcotest.(check bool) "no source on unused border" true
     (GL.signal_source l (offset 0 1) D.East = None)
 
+let test_layout_storage () =
+  (* Bounds, copy independence, row-major iteration and cropping of the
+     tile field. *)
+  let l = GL.create ~width:3 ~height:2 ~clocking:(GL.Scheme Cl.Row) in
+  let wire = Tile.Wire { segments = [ (D.North_west, D.South_east) ] } in
+  GL.set l (offset 2 1) wire;
+  Alcotest.(check bool) "out of bounds" false (GL.in_bounds l (offset 3 0));
+  Alcotest.check_raises "oob get"
+    (Invalid_argument "Gate_layout.get: (3, 0) out of 3x2 bounds") (fun () ->
+      ignore (GL.get l (offset 3 0)));
+  Alcotest.(check bool) "border clips signal sources" true
+    (GL.signal_source l (offset 0 0) D.North_west = None);
+  let copy = GL.copy l in
+  GL.set copy (offset 2 1) Tile.Empty;
+  Alcotest.(check bool) "copy independent" true (GL.get l (offset 2 1) = wire);
+  let visited =
+    GL.fold l ~init:[] ~f:(fun acc c _ -> (c.C.col, c.C.row) :: acc)
+  in
+  Alcotest.(check (list (pair int int))) "row-major"
+    [ (0, 0); (1, 0); (2, 0); (0, 1); (1, 1); (2, 1) ]
+    (List.rev visited);
+  let cropped = GL.crop l in
+  Alcotest.(check (pair int int)) "cropped size" (1, 2)
+    (GL.width cropped, GL.height cropped);
+  Alcotest.(check bool) "cropped tile" true
+    (GL.get cropped (offset 0 1) = wire)
+
 let test_drc_dangling () =
   let l = xor_layout () in
   (* Remove the PO: the XOR's output dangles, and DRC must complain. *)
@@ -322,6 +349,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_layout_stats;
           Alcotest.test_case "clean layout" `Quick test_layout_clean;
           Alcotest.test_case "signal source" `Quick test_signal_source;
+          Alcotest.test_case "storage" `Quick test_layout_storage;
           Alcotest.test_case "dangling" `Quick test_drc_dangling;
           Alcotest.test_case "clocking violation" `Quick test_drc_clocking;
           Alcotest.test_case "border io" `Quick test_drc_border_io;

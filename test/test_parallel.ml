@@ -265,20 +265,6 @@ let test_yield_serial_parallel_identical () =
         (par.Bestagon.Yield.per_tile = serial.Bestagon.Yield.per_tile))
     [ 2; 4 ]
 
-let test_yield_pruned_engine_agrees () =
-  (* The default (pruned) engine and branch & bound give the same
-     trial-by-trial verdicts. *)
-  let layout = xor2_layout () in
-  let params =
-    { Sidb.Defects.default_params with Sidb.Defects.trials = 8; seed = 11 }
-  in
-  let pruned = Bestagon.Yield.of_layout ~params layout in
-  let bnb =
-    Bestagon.Yield.of_layout ~engine:Sidb.Bdl.Branch_and_bound ~params layout
-  in
-  Alcotest.(check (float 0.0)) "same layout yield"
-    bnb.Bestagon.Yield.layout_yield pruned.Bestagon.Yield.layout_yield
-
 (* --- equivalence determinism ----------------------------------------------- *)
 
 let two_pi_network gate =
@@ -356,8 +342,6 @@ let () =
             test_interaction_cache_agrees;
           Alcotest.test_case "yield jobs=1/2/4" `Slow
             test_yield_serial_parallel_identical;
-          Alcotest.test_case "yield pruned engine" `Slow
-            test_yield_pruned_engine_agrees;
           Alcotest.test_case "equivalence jobs=1/2/4" `Quick
             test_equivalence_serial_parallel_identical;
           Alcotest.test_case "brute force vs SAT" `Quick

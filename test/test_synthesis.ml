@@ -228,50 +228,6 @@ let test_rewrite_reduces_redundant () =
   Alcotest.(check bool) "equivalent" true (equivalent n rewritten);
   Alcotest.(check bool) "reduced" true (N.num_gates rewritten <= 5)
 
-(* --- depth balancing ------------------------------------------------------- *)
-
-let test_balance_chain () =
-  (* A 7-input XOR chain of depth 6 balances to depth 3. *)
-  let n = N.create () in
-  let xs = Array.init 7 (fun i -> N.pi n (Printf.sprintf "x%d" i)) in
-  let chain = Array.fold_left (fun acc x -> N.xor_ n acc x) xs.(0)
-      (Array.sub xs 1 6) in
-  N.po n "y" chain;
-  Alcotest.(check int) "chain depth" 6 (N.depth n);
-  let balanced = Logic.Balance.balance n in
-  Alcotest.(check int) "balanced depth" 3 (N.depth balanced);
-  Alcotest.(check bool) "equivalent" true (equivalent n balanced)
-
-let test_balance_and_chain () =
-  let n = N.create () in
-  let xs = Array.init 8 (fun i -> N.pi n (Printf.sprintf "x%d" i)) in
-  let chain = Array.fold_left (fun acc x -> N.and_ n acc x) xs.(0)
-      (Array.sub xs 1 7) in
-  N.po n "y" chain;
-  let balanced = Logic.Balance.balance n in
-  Alcotest.(check int) "and tree depth" 3 (N.depth balanced);
-  Alcotest.(check bool) "equivalent" true (equivalent n balanced)
-
-let test_balance_never_worse () =
-  List.iter
-    (fun b ->
-      let n = b.Logic.Benchmarks.build () in
-      let balanced = Logic.Balance.balance_to_fixpoint n in
-      Alcotest.(check bool) (b.Logic.Benchmarks.name ^ " equivalent") true
-        (equivalent n balanced);
-      Alcotest.(check bool) (b.Logic.Benchmarks.name ^ " depth not worse")
-        true
-        (N.depth balanced <= N.depth n))
-    Logic.Benchmarks.all
-
-let test_balance_respects_nand_boundary () =
-  (* !(a & b) & c must not be flattened across the complement edge. *)
-  let n = N.create () in
-  let a = N.pi n "a" and b = N.pi n "b" and c = N.pi n "c" in
-  N.po n "y" (N.and_ n (N.nand_ n a b) c);
-  let balanced = Logic.Balance.balance n in
-  Alcotest.(check bool) "equivalent" true (equivalent n balanced)
-
 let () =
   let qt = List.map (QCheck_alcotest.to_alcotest ~verbose:false) in
   Alcotest.run "synthesis"
@@ -305,13 +261,5 @@ let () =
             test_rewrite_preserves_all_benchmarks;
           Alcotest.test_case "redundant maj3 shrinks" `Quick
             test_rewrite_reduces_redundant;
-        ] );
-      ( "balance",
-        [
-          Alcotest.test_case "xor chain" `Quick test_balance_chain;
-          Alcotest.test_case "and chain" `Quick test_balance_and_chain;
-          Alcotest.test_case "never worse" `Quick test_balance_never_worse;
-          Alcotest.test_case "nand boundary" `Quick
-            test_balance_respects_nand_boundary;
         ] );
     ]
